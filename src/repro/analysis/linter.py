@@ -373,13 +373,15 @@ def lint_callable(fn: Any, role: str, *,
 
 
 #: AsyncMapReduceSpec / BlockSpec methods linted when implemented, with
-#: their roles ("gmap_emit" orders the global shuffle's input, so it
-#: follows the map rules).
+#: their roles ("gmap_emit" orders the global shuffle's input, and
+#: "local_mapreduce_block" runs inside the gmap task like lmap, so both
+#: follow the map rules).
 _SPEC_METHODS = (
     ("lmap", "map"),
     ("lreduce", "reduce"),
     ("greduce", "reduce"),
     ("gmap_emit", "map"),
+    ("local_mapreduce_block", "map"),
     ("global_combine", "combine"),
 )
 

@@ -43,6 +43,7 @@ from repro.core import (
     EngineBackend,
     IterationLoop,
     IterativeResult,
+    LocalRunResult,
     LocalSolveReport,
     resolve_block_backend,
 )
@@ -76,21 +77,22 @@ class PageRankResult:
 class _PartitionCSR:
     """Per-partition edge structure for the vectorised local solve."""
 
-    __slots__ = ("nodes", "local_of", "int_src", "int_dst", "ext_src",
-                 "ext_dst", "out_cut_edges", "out_edges")
+    __slots__ = ("nodes", "int_src", "int_dst", "ext_src", "ext_dst",
+                 "out_cut_edges", "out_edges")
 
     def __init__(self, graph: DiGraph, assign: np.ndarray, part_id: int,
                  nodes: np.ndarray) -> None:
         self.nodes = nodes
-        n = graph.num_nodes
-        local_of = np.full(n, -1, dtype=np.int64)
+        local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
         local_of[nodes] = np.arange(len(nodes))
-        self.local_of = local_of
         src, dst, _ = graph.edge_arrays()
         in_p_dst = assign[dst] == part_id
         in_p_src = assign[src] == part_id
         internal = in_p_src & in_p_dst
         incoming = ~in_p_src & in_p_dst
+        # Edge (CSR) order: sources ascending — the partition's table
+        # order — then each source's successors in order, which is the
+        # record path's emission order.
         self.int_src = local_of[src[internal]]
         self.int_dst = local_of[dst[internal]]
         self.ext_src = src[incoming]          # global ids of remote sources
@@ -243,6 +245,14 @@ class PageRankKVSpec(AsyncMapReduceSpec):
     collapses to a per-key segmented **sum** and the map-side ``"sum"``
     combiner (§V-B's partial aggregation) pre-folds each partition's
     contributions to one row per remote target before the shuffle.
+
+    The gmap's local loop runs as array sweeps over the partition's
+    internal edges (:meth:`local_mapreduce_block`), bit-identical to the
+    lmap/lreduce loop, which stays the oracle.
+    A subclass that changes ``lmap``, ``lreduce``, ``local_converged``
+    or ``before_local_iteration`` must override
+    :meth:`local_mapreduce_block` to return ``None``: the block hook
+    reimplements all four and would otherwise bypass the override.
     """
 
     supports_columnar = True
@@ -271,6 +281,9 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             self._external_adj[u] = succ[~same].tolist()
         #: part_id -> static emission arrays for the columnar gmap.
         self._col_cache: dict = {}
+        parts = partition.parts()
+        self._csr = [_PartitionCSR(graph, assign, p, parts[p])
+                     for p in range(partition.k)]
 
     # -- iteration plumbing ----------------------------------------------
     def initial_state(self) -> dict:
@@ -291,13 +304,16 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         return self.partition.k
 
     def partition_input(self, part_id: int, state: dict) -> list:
-        xs = []
-        for u in self.partition.parts()[part_id]:
-            u = int(u)
-            rank, ext = state[u]
-            xs.append((u, (rank, ext, self._internal_adj[u],
-                           self._external_adj[u], float(self._inv_outdeg[u]))))
-        return xs
+        nodes = self.partition.parts()[part_id]
+        node_list = nodes.tolist()
+        # Dense state: one gather instead of a per-node row lookup (the
+        # same doubles, as Python floats).
+        rows = (state.rows[nodes].tolist() if isinstance(state, DenseKVState)
+                else [state[u] for u in node_list])
+        inv_out = self._inv_outdeg[nodes].tolist()
+        internal, external = self._internal_adj, self._external_adj
+        return [(u, (rank, ext, internal[u], external[u], io))
+                for u, (rank, ext), io in zip(node_list, rows, inv_out)]
 
     # -- the four user functions ------------------------------------------
     def lmap(self, key, value, ctx) -> None:
@@ -331,6 +347,48 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             else:  # "c": remote contribution for the *next* round
                 ext += payload
         ctx.emit(key, (rank, ext))
+
+    # -- the local loop as array sweeps --------------------------------------
+    def local_mapreduce_block(self, part_id, xs, *, max_local_iters):
+        """:func:`~repro.core.localmr.run_local_mapreduce` over ``xs`` as
+        NumPy sweeps of the partition's internal edges.
+
+        ``xs`` is trusted to carry this spec's adjacency and out-degrees
+        (as :meth:`partition_input` builds it); keys other than the
+        partition's nodes in table order are declined.  Contributions
+        accumulate with ``np.bincount`` in CSR edge order — lmap's
+        emission order — and ranks use lreduce's association, so every
+        rank is bit-identical to the record loop's.
+        """
+        csr = self._csr[part_id]
+        nodes, src, dst = csr.nodes, csr.int_src, csr.int_dst
+        n = len(nodes)
+        if len(xs) != n or [k for k, _ in xs] != nodes.tolist():
+            return None
+        x = np.fromiter((v[0] for _, v in xs), dtype=np.float64, count=n)
+        ext = np.fromiter((v[1] for _, v in xs), dtype=np.float64, count=n)
+        inv_src = self._inv_outdeg[nodes][src]
+        d = self.damping
+        # One table scan + a "rec" and an EmitLocal per node, plus one
+        # contribution per internal edge.
+        ops = float(3 * n + len(src))
+        per_iter_ops: list = []
+        converged = False
+        while len(per_iter_ops) < max_local_iters:
+            contrib = np.bincount(dst, weights=x[src] * inv_src, minlength=n)
+            x_new = (1.0 - d) + d * (contrib + ext)
+            per_iter_ops.append(ops)
+            # fmax skips NaN like local_converged's running max() does.
+            delta = np.fmax.reduce(np.abs(x_new - x), initial=0.0)
+            x = x_new
+            if delta < self.tol:
+                converged = True
+                break
+        table = {u: (rank, e, internal, external, io)
+                 for (u, (_, e, internal, external, io)), rank
+                 in zip(xs, x.tolist())}
+        return LocalRunResult(table=table, local_iters=len(per_iter_ops),
+                              per_iter_ops=per_iter_ops, converged=converged)
 
     # -- convergence & emission --------------------------------------------
     def gmap_emit(self, table: dict, part_id: int) -> list:

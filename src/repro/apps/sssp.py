@@ -34,6 +34,7 @@ from repro.core import (
     EngineBackend,
     IterationLoop,
     IterativeResult,
+    LocalRunResult,
     LocalSolveReport,
     resolve_block_backend,
 )
@@ -196,6 +197,12 @@ class SsspBlockSpec(BlockSpec):
 # Record-at-a-time (§IV API) implementation
 # ----------------------------------------------------------------------
 
+def _min_exact(a: np.ndarray) -> bool:
+    """True when ``a`` holds no NaN and no -0.0: Python's ``min`` and
+    ``np.minimum`` then agree whatever the order of the operands."""
+    return not np.any(np.isnan(a) | ((a == 0) & np.signbit(a)))
+
+
 def _sssp_columnar_finish(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Vectorised greduce epilogue: fold the cross-edge floor into the
     distance column (``dist = min(dist, ext_best)``).  Top-level so the
@@ -213,6 +220,14 @@ class SsspKVSpec(AsyncMapReduceSpec):
     boundaries; ``ext_best`` is the best known distance via cross edges,
     frozen during local iterations.  Global state: ``node -> (dist,
     ext_best)``.
+
+    The gmap's local loop runs as array relaxations over the
+    partition's internal edges (:meth:`local_mapreduce_block`),
+    bit-identical to the lmap/lreduce loop, which stays the oracle.
+    A subclass that changes ``lmap``, ``lreduce``, ``local_converged``
+    or ``before_local_iteration`` must override
+    :meth:`local_mapreduce_block` to return ``None``: the block hook
+    reimplements all four and would otherwise bypass the override.
 
     Columnar fast path: boundary records become ``(node, (dist, d))``
     rows — the owner's distance record is ``(dist, inf)``, each
@@ -245,6 +260,9 @@ class SsspKVSpec(AsyncMapReduceSpec):
             self._external_adj[u] = list(zip(succ[~same].tolist(), w[~same].tolist()))
         #: part_id -> static emission arrays for the columnar gmap.
         self._col_cache: dict = {}
+        parts = partition.parts()
+        self._edges = [_PartitionEdges(graph, assign, p, parts[p])
+                       for p in range(partition.k)]
 
     def initial_state(self) -> dict:
         """Source at 0, rest unreached; cross-edge floors consistent with
@@ -269,12 +287,15 @@ class SsspKVSpec(AsyncMapReduceSpec):
         return self.partition.k
 
     def partition_input(self, part_id: int, state: dict) -> list:
-        xs = []
-        for u in self.partition.parts()[part_id]:
-            u = int(u)
-            dist, ext = state[u]
-            xs.append((u, (dist, ext, self._internal_adj[u], self._external_adj[u])))
-        return xs
+        nodes = self.partition.parts()[part_id]
+        node_list = nodes.tolist()
+        # Dense state: one gather instead of a per-node row lookup (the
+        # same doubles, as Python floats).
+        rows = (state.rows[nodes].tolist() if isinstance(state, DenseKVState)
+                else [state[u] for u in node_list])
+        internal, external = self._internal_adj, self._external_adj
+        return [(u, (dist, ext, internal[u], external[u]))
+                for u, (dist, ext) in zip(node_list, rows)]
 
     def lmap(self, key, value, ctx) -> None:
         dist, ext, internal, external = value
@@ -306,6 +327,49 @@ class SsspKVSpec(AsyncMapReduceSpec):
             else:  # "d": cross-edge candidate for the next round
                 ext = min(ext, payload)
         ctx.emit(key, (min(dist, ext), ext))
+
+    def local_mapreduce_block(self, part_id, xs, *, max_local_iters):
+        """:func:`~repro.core.localmr.run_local_mapreduce` over ``xs`` as
+        NumPy relaxations of the partition's internal edges.
+
+        ``xs`` is trusted to carry this spec's adjacency (as
+        :meth:`partition_input` builds it); keys other than the
+        partition's nodes in table order are declined.  lreduce's
+        running ``min`` is order-free — hence bit-identical as one
+        ``np.minimum.at`` — except on NaN and -0.0, so inputs holding
+        either are declined too.
+        """
+        pe = self._edges[part_id]
+        nodes, src, dst, w = pe.nodes, pe.int_src, pe.int_dst, pe.int_w
+        n = len(nodes)
+        if len(xs) != n or [k for k, _ in xs] != nodes.tolist():
+            return None
+        dist = np.fromiter((v[0] for _, v in xs), dtype=np.float64, count=n)
+        ext = np.fromiter((v[1] for _, v in xs), dtype=np.float64, count=n)
+        if not (_min_exact(dist) and _min_exact(ext) and _min_exact(w)):
+            return None
+        per_iter_ops: list = []
+        converged = False
+        while len(per_iter_ops) < max_local_iters:
+            # Only finite distances emit along their internal edges.
+            live = np.isfinite(dist[src])
+            best = np.full(n, np.inf)
+            np.minimum.at(best, dst[live], dist[src[live]] + w[live])
+            new = np.minimum(np.minimum(dist, best), ext)
+            # One table scan + a "rec" and an EmitLocal per node, plus
+            # one candidate per live internal edge.
+            per_iter_ops.append(float(3 * n + np.count_nonzero(live)))
+            # local_converged: unchanged, with inf == inf.
+            moved = (new != dist) & ~(np.isinf(new) & np.isinf(dist))
+            dist = new
+            if not moved.any():
+                converged = True
+                break
+        table = {u: (d, e, internal, external)
+                 for (u, (_, e, internal, external)), d
+                 in zip(xs, dist.tolist())}
+        return LocalRunResult(table=table, local_iters=len(per_iter_ops),
+                              per_iter_ops=per_iter_ops, converged=converged)
 
     def gmap_emit(self, table: dict, part_id: int) -> list:
         out = []

@@ -6,7 +6,11 @@ Two spec flavours implement the same two-level (local/global) scheme:
   the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
   and the generated ``gmap``) and the EmitLocal* data flow.  It runs on
   the real MapReduce engine and is what the correctness tests and small
-  examples use.
+  examples use.  A spec may also run a gmap's whole local loop as array
+  sweeps through :meth:`AsyncMapReduceSpec.local_mapreduce_block`; it
+  must return the same table, iteration count, per-iteration op counts
+  and converged flag as the record loop (the op counts feed the
+  simulated clock), and the record loop stays the oracle.
 
 * :class:`BlockSpec` — the vectorised per-partition variant.  The paper
   notes that "local map and local reduce operations can use a thread
@@ -26,13 +30,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Sequence, TYPE_CHECKING
 
 from repro.core.emitter import (
     GlobalReduceContext,
     LocalMapContext,
     LocalReduceContext,
 )
+
+if TYPE_CHECKING:  # localmr imports this module
+    from repro.core.localmr import LocalRunResult
 
 __all__ = ["AsyncMapReduceSpec", "BlockSpec", "LocalSolveReport"]
 
@@ -173,6 +180,24 @@ class AsyncMapReduceSpec(abc.ABC):
         centroids — Hadoop would use the distributed cache / job
         configuration) pull it from the table here.  Default: no-op.
         """
+
+    # -- block-at-a-time local loop (opt-in) ---------------------------
+    def local_mapreduce_block(self, part_id: Any, xs: list, *,
+                              max_local_iters: int
+                              ) -> "LocalRunResult | None":
+        """Figure 1's local loop over a whole partition at once.
+
+        The whole-chunk counterpart of ``lmap``/``lreduce``: a spec that
+        can sweep its partition with array operations returns the
+        :class:`~repro.core.localmr.LocalRunResult` that
+        :func:`~repro.core.localmr.run_local_mapreduce` would return for
+        the same ``xs`` — the same table (keys, key order and values),
+        ``local_iters``, ``per_iter_ops`` and ``converged``.  The op
+        counts reach the simulated clock, so they must match exactly.
+        Returning ``None`` declines (inputs the sweep cannot reproduce)
+        and the gmap runs the record loop instead.  Default: decline.
+        """
+        return None
 
     # -- columnar fast-path hooks (opt-in, see supports_columnar) -------
     def gmap_emit_columnar(self, table: dict, part_id: int

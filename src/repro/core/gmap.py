@@ -41,7 +41,9 @@ class GmapFunction:
 
     The engine hands it ``(part_id, xs)`` records; it runs the local
     MapReduce to local convergence (or to 1 iteration for the general
-    baseline) and emits the spec's boundary/output pairs for the global
+    baseline) — as the spec's array sweeps when its
+    ``local_mapreduce_block`` hook accepts ``xs``, record at a time
+    otherwise — and emits the spec's boundary/output pairs for the global
     reduce — as one typed batch (``ctx.emit_block``) when the columnar
     fast path is on, or pair-at-a-time otherwise.
     """
@@ -58,8 +60,14 @@ class GmapFunction:
         self.columnar = columnar
 
     def __call__(self, part_id: Any, xs: "list[tuple[Any, Any]]", ctx: Any) -> None:
-        result = run_local_mapreduce(self.spec, xs,
-                                     max_local_iters=self.max_local_iters)
+        # getattr: duck-typed specs without the block hook use the
+        # record loop.
+        block = getattr(self.spec, "local_mapreduce_block", None)
+        result = None if block is None else block(
+            part_id, xs, max_local_iters=self.max_local_iters)
+        if result is None:
+            result = run_local_mapreduce(self.spec, xs,
+                                         max_local_iters=self.max_local_iters)
         ctx.incr(LOCAL_ITER_COUNTER, result.local_iters)
         ctx.incr(local_iter_counter(part_id), result.local_iters)
         ctx.incr(LOCAL_OPS_COUNTER, int(result.total_ops))

@@ -18,6 +18,14 @@ persist, so static structure such as adjacency lists survives the loop).
 The local synchronization between lmap and lreduce is a plain in-memory
 barrier — "the local synchronization does not incur any inter-host
 communication delays" (§V-B.2).
+
+A spec may run the same loop as whole-partition array sweeps through
+:meth:`~repro.core.api.AsyncMapReduceSpec.local_mapreduce_block`; the
+gmap tries that hook first.  Its contract is this function's result:
+the same table, iteration count, per-iteration op counts and converged
+flag — the op counts feed the simulated clock through the engine's map
+task charges.  This record loop stays the oracle the hooks are pinned
+to, and the path for every input a hook declines.
 """
 
 from __future__ import annotations

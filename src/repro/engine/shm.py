@@ -35,6 +35,7 @@ segment round trip (two syscalls + mmap) costs more than it saves.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import uuid
@@ -103,19 +104,49 @@ def _write_segment(name: str, arrays: "list[np.ndarray]") -> "list[tuple]":
     return specs
 
 
+class _UntrackedSegment:
+    """Read-only mapping of an existing segment, unknown to the tracker.
+
+    ``SharedMemory`` registers with the resource tracker on every attach
+    (before CPython 3.13 unconditionally), so this maps the segment
+    directly with ``shm_open`` + ``mmap``.
+    """
+
+    __slots__ = ("_path", "buf")
+
+    def __init__(self, name: str) -> None:
+        import _posixshmem
+
+        self._path = "/" + name
+        fd = _posixshmem.shm_open(self._path, os.O_RDONLY, mode=0o600)
+        try:
+            self.buf = mmap.mmap(fd, os.fstat(fd).st_size,
+                                 access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+
+    def close(self) -> None:
+        self.buf.close()
+
+    def unlink(self) -> None:
+        import _posixshmem
+
+        _posixshmem.shm_unlink(self._path)
+
+
 def _read_segment(name: str, specs: "list[tuple]",
                   unlink: bool) -> "list[np.ndarray]":
     """Attach ``name``, copy each spec'd array out, close (and unlink).
 
-    Attaching registers the name with this process's resource tracker
-    (CPython <= 3.12 registers on attach, not just create).
-    ``unlink()`` unregisters internally, balancing the books; on the
-    keep-alive path we unregister explicitly so a pooled worker's exit
-    never destroys a segment the driver still owns.
+    The attach never registers with the resource tracker.  Forked
+    workers share one tracker whose bookkeeping is a set, not a count:
+    two workers attaching the same keep-alive segment (a parked job
+    function) would interleave register, register, unregister,
+    unregister, and the last unregister fails in the tracker with a
+    ``KeyError``.  Registering nothing also means a pooled worker's
+    exit can never destroy a segment the driver still owns.
     """
-    shm = shared_memory.SharedMemory(name=name)
-    if not unlink:
-        _untrack(shm)
+    shm = _UntrackedSegment(name)
     try:
         out = [
             np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off).copy()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import lint_fixtures as fixtures
@@ -20,12 +21,21 @@ from repro.analysis import (
     lint_spec,
 )
 from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
+from repro.apps.sssp import SsspKVSpec
 from repro.apps.wordcount import wordcount_job
 from repro.core import DriverConfig, Session
 from repro.core.api import AsyncMapReduceSpec, BlockSpec, LocalSolveReport
 from repro.core.loop import BlockBackend, EngineBackend
 from repro.engine import MapReduceRuntime
 from repro.engine.job import Job, JobConf
+
+
+class StampingBlockHookSpec(PageRankKVSpec):
+    """A block hook that reads the clock and keeps state across gmaps."""
+
+    def local_mapreduce_block(self, part_id, xs, *, max_local_iters):
+        self.stamp = time.time()
+        return None
 
 
 class SubtractingBlockSpec(BlockSpec):
@@ -143,6 +153,18 @@ class TestLintSpec:
         report = lint_spec(PageRankKVSpec(small_graph, small_partition))
         assert report.ok
         assert not report.findings
+
+    def test_bundled_block_hooks_clean(self, small_graph, small_partition):
+        assert not lint_spec(SsspKVSpec(small_graph, small_partition)).findings
+
+    def test_hazardous_block_hook_flagged(self, small_graph, small_partition):
+        # The block hook runs inside the gmap task, so it gets lmap's
+        # map-role rules.
+        report = lint_spec(StampingBlockHookSpec(small_graph, small_partition))
+        codes = {f.code for f in report.findings
+                 if f.function.endswith("local_mapreduce_block")}
+        assert {"RPR001", "RPR011"} <= codes
+        assert not report.ok
 
     def test_bundled_block_spec_clean(self, small_graph, small_partition):
         assert lint_spec(PageRankBlockSpec(small_graph, small_partition)).ok

@@ -10,9 +10,16 @@ the time ``run`` returns (plus ``close()``/``__del__`` as backstops).
 from __future__ import annotations
 
 import glob
+import os
+import subprocess
+import sys
+import textwrap
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.engine import (
     FaultPlan,
@@ -29,7 +36,7 @@ from repro.engine.counters import (
     NODE_DEATHS,
     SPECULATIVE_BACKUPS,
 )
-from repro.engine.shm import export_pickled
+from repro.engine.shm import _read_segment, _unlink_quietly, export_pickled
 
 VOCAB = [f"word{i:03d}" for i in range(40)]
 
@@ -283,6 +290,75 @@ class TestPickleRef:
             # Same name -> the cached object, no second attach/unpickle.
             assert ref.load() is first
         finally:
-            from repro.engine.shm import _unlink_quietly
-
             assert _unlink_quietly("reproshm-test-fat")
+
+
+#: Starts a resource tracker whose stderr goes to ``argv[1]``, runs
+#: ``argv[2]`` jobs whose fat map function every worker reads from one
+#: parked segment, and prints how many KeyErrors the tracker reported.
+_TRACKER_SCRIPT = textwrap.dedent("""
+    import os, sys
+    from multiprocessing import resource_tracker
+
+    import numpy as np
+
+    from repro.engine import Job, MapReduceRuntime
+
+    class FatMap:
+        def __init__(self):
+            self.pad = np.arange(40_000)
+
+        def __call__(self, key, value, ctx):
+            ctx.emit(key % 3, 1)
+
+    fd = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    saved = os.dup(2)
+    os.dup2(fd, 2)
+    try:
+        resource_tracker._resource_tracker.ensure_running()
+    finally:
+        os.dup2(saved, 2)
+        os.close(saved)
+        os.close(fd)
+    with MapReduceRuntime("processes", workers=2) as rt:
+        for _ in range(int(sys.argv[2])):
+            rt.run(Job(map_fn=FatMap(), reduce_fn="sum"),
+                   [[(i, 0)] for i in range(16)])
+    resource_tracker._resource_tracker._stop()
+    with open(sys.argv[1]) as fh:
+        print(sum("KeyError" in line for line in fh))
+""")
+
+
+class TestResourceTracker:
+    def test_read_never_registers(self, monkeypatch):
+        ref = export_pickled(np.arange(20_000), "reproshm-test-track",
+                             min_bytes=1024)
+        calls = []
+        monkeypatch.setattr(resource_tracker, "register",
+                            lambda *a: calls.append(("register", a)))
+        monkeypatch.setattr(resource_tracker, "unregister",
+                            lambda *a: calls.append(("unregister", a)))
+        try:
+            [kept] = _read_segment(ref.name, ref.specs, unlink=False)
+            [taken] = _read_segment(ref.name, ref.specs, unlink=True)
+        finally:
+            monkeypatch.undo()
+            _unlink_quietly(ref.name)
+        assert calls == []
+        assert kept.tobytes() == taken.tobytes()
+        assert not glob.glob("/dev/shm/*reproshm-test-track*")
+
+    def test_shared_function_segment_keeps_tracker_quiet(self, tmp_path):
+        # Two workers attaching the same keep-alive segment used to
+        # interleave register/unregister in their shared tracker.
+        script = tmp_path / "tracker.py"
+        script.write_text(_TRACKER_SCRIPT)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "tracker.log"),
+             "150"], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0", (
+            (tmp_path / "tracker.log").read_text())
