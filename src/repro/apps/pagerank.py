@@ -78,7 +78,7 @@ class _PartitionCSR:
     """Per-partition edge structure for the vectorised local solve."""
 
     __slots__ = ("nodes", "int_src", "int_dst", "ext_src", "ext_dst",
-                 "out_cut_edges", "out_edges")
+                 "cut_src", "cut_dst", "out_cut_edges", "out_edges")
 
     def __init__(self, graph: DiGraph, assign: np.ndarray, part_id: int,
                  nodes: np.ndarray) -> None:
@@ -90,6 +90,7 @@ class _PartitionCSR:
         in_p_src = assign[src] == part_id
         internal = in_p_src & in_p_dst
         incoming = ~in_p_src & in_p_dst
+        outgoing = in_p_src & ~in_p_dst
         # Edge (CSR) order: sources ascending — the partition's table
         # order — then each source's successors in order, which is the
         # record path's emission order.
@@ -97,7 +98,9 @@ class _PartitionCSR:
         self.int_dst = local_of[dst[internal]]
         self.ext_src = src[incoming]          # global ids of remote sources
         self.ext_dst = local_of[dst[incoming]]
-        self.out_cut_edges = int((in_p_src & ~in_p_dst).sum())
+        self.cut_src = local_of[src[outgoing]]
+        self.cut_dst = dst[outgoing]          # global ids of remote targets
+        self.out_cut_edges = len(self.cut_dst)
         self.out_edges = int(in_p_src.sum())
 
 
@@ -279,8 +282,6 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             same = assign[succ] == assign[u]
             self._internal_adj[u] = succ[same].tolist()
             self._external_adj[u] = succ[~same].tolist()
-        #: part_id -> static emission arrays for the columnar gmap.
-        self._col_cache: dict = {}
         parts = partition.parts()
         self._csr = [_PartitionCSR(graph, assign, p, parts[p])
                      for p in range(partition.k)]
@@ -426,39 +427,18 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         return new_state
 
     # -- columnar fast path ------------------------------------------------
-    def _columnar_arrays(self, part_id: int):
-        """Static per-partition emission structure (built once).
-
-        ``nodes`` are the partition's node ids in table order,
-        ``ext_src`` the *local index* of each outgoing cut edge's source
-        (repeated per edge) and ``ext_dst`` its remote target, so the
-        per-round contribution vector is one gather-multiply.
-        """
-        cached = self._col_cache.get(part_id)
-        if cached is None:
-            nodes = self.partition.parts()[part_id].astype(np.int64)
-            node_list = [int(u) for u in nodes]
-            counts = [len(self._external_adj[u]) for u in node_list]
-            ext_dst = np.fromiter(
-                (v for u in node_list for v in self._external_adj[u]),
-                dtype=np.int64, count=sum(counts))
-            ext_src = np.repeat(np.arange(len(node_list)), counts)
-            cached = (nodes, node_list, ext_src, ext_dst,
-                      self._inv_outdeg[nodes])
-            self._col_cache[part_id] = cached
-        return cached
-
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owning
         rank record is ``(rank, 0)``, each cut-edge contribution
         ``(0, rank/outdeg)`` — so a per-key sum yields exactly
-        ``(rank, ext_contrib)``."""
-        nodes, node_list, ext_src, ext_dst, inv_out = \
-            self._columnar_arrays(part_id)
-        ranks = np.fromiter((table[u][0] for u in node_list),
-                            dtype=np.float64, count=len(node_list))
-        contrib = ranks[ext_src] * inv_out[ext_src]
-        keys = np.concatenate([nodes, ext_dst])
+        ``(rank, ext_contrib)``.  The cut edges come in CSR order, which
+        is :meth:`gmap_emit`'s."""
+        csr = self._csr[part_id]
+        nodes, cut_src = csr.nodes, csr.cut_src
+        ranks = np.fromiter((table[u][0] for u in nodes.tolist()),
+                            dtype=np.float64, count=len(nodes))
+        contrib = ranks[cut_src] * self._inv_outdeg[nodes][cut_src]
+        keys = np.concatenate([nodes, csr.cut_dst])
         rows = np.zeros((len(keys), 2), dtype=np.float64)
         rows[:len(nodes), 0] = ranks
         rows[len(nodes):, 1] = contrib

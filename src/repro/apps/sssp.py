@@ -68,7 +68,8 @@ class _PartitionEdges:
     """Per-partition weighted edge structure for the local relaxations."""
 
     __slots__ = ("nodes", "int_src", "int_dst", "int_w", "ext_src",
-                 "ext_dst", "ext_w", "out_cut_edges", "out_edges")
+                 "ext_dst", "ext_w", "cut_src", "cut_dst", "cut_w",
+                 "out_cut_edges", "out_edges")
 
     def __init__(self, graph: DiGraph, assign: np.ndarray, part_id: int,
                  nodes: np.ndarray) -> None:
@@ -80,13 +81,18 @@ class _PartitionEdges:
         in_p_dst = assign[dst] == part_id
         internal = in_p_src & in_p_dst
         incoming = ~in_p_src & in_p_dst
+        outgoing = in_p_src & ~in_p_dst
+        # CSR order: sources ascending (table order), then successors.
         self.int_src = local_of[src[internal]]
         self.int_dst = local_of[dst[internal]]
         self.int_w = w[internal]
         self.ext_src = src[incoming]
         self.ext_dst = local_of[dst[incoming]]
         self.ext_w = w[incoming]
-        self.out_cut_edges = int((in_p_src & ~in_p_dst).sum())
+        self.cut_src = local_of[src[outgoing]]
+        self.cut_dst = dst[outgoing]
+        self.cut_w = w[outgoing]
+        self.out_cut_edges = len(self.cut_dst)
         self.out_edges = int(in_p_src.sum())
 
 
@@ -258,8 +264,6 @@ class SsspKVSpec(AsyncMapReduceSpec):
             same = assign[succ] == assign[u]
             self._internal_adj[u] = list(zip(succ[same].tolist(), w[same].tolist()))
             self._external_adj[u] = list(zip(succ[~same].tolist(), w[~same].tolist()))
-        #: part_id -> static emission arrays for the columnar gmap.
-        self._col_cache: dict = {}
         parts = partition.parts()
         self._edges = [_PartitionEdges(graph, assign, p, parts[p])
                        for p in range(partition.k)]
@@ -413,36 +417,17 @@ class SsspKVSpec(AsyncMapReduceSpec):
         return new_state
 
     # -- columnar fast path ------------------------------------------------
-    def _columnar_arrays(self, part_id: int):
-        """Static per-partition emission structure (built once)."""
-        cached = self._col_cache.get(part_id)
-        if cached is None:
-            nodes = self.partition.parts()[part_id].astype(np.int64)
-            node_list = [int(u) for u in nodes]
-            counts = [len(self._external_adj[u]) for u in node_list]
-            total = sum(counts)
-            ext_dst = np.fromiter(
-                (v for u in node_list for v, _ in self._external_adj[u]),
-                dtype=np.int64, count=total)
-            ext_w = np.fromiter(
-                (w for u in node_list for _, w in self._external_adj[u]),
-                dtype=np.float64, count=total)
-            ext_src = np.repeat(np.arange(len(node_list)), counts)
-            cached = (nodes, node_list, ext_src, ext_dst, ext_w)
-            self._col_cache[part_id] = cached
-        return cached
-
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owner's
         distance record is ``(dist, inf)``, each finite-source cross
-        edge a ``(inf, dist + w)`` relaxation candidate."""
-        nodes, node_list, ext_src, ext_dst, ext_w = \
-            self._columnar_arrays(part_id)
-        dists = np.fromiter((table[u][0] for u in node_list),
-                            dtype=np.float64, count=len(node_list))
-        live = np.isfinite(dists[ext_src])
-        cand = dists[ext_src[live]] + ext_w[live]
-        keys = np.concatenate([nodes, ext_dst[live]])
+        edge a ``(inf, dist + w)`` relaxation candidate, in CSR order."""
+        edges = self._edges[part_id]
+        nodes, cut_src = edges.nodes, edges.cut_src
+        dists = np.fromiter((table[u][0] for u in nodes.tolist()),
+                            dtype=np.float64, count=len(nodes))
+        live = np.isfinite(dists[cut_src])
+        cand = dists[cut_src[live]] + edges.cut_w[live]
+        keys = np.concatenate([nodes, edges.cut_dst[live]])
         rows = np.full((len(keys), 2), np.inf, dtype=np.float64)
         rows[:len(nodes), 0] = dists
         rows[len(nodes):, 1] = cand

@@ -101,6 +101,13 @@ class AsyncMapReduceSpec(abc.ABC):
     §V-B), and byte accounting is dtype itemsize math.  The classic
     ``gmap_emit``/``greduce`` path stays intact as the fallback and the
     equivalence oracle (``EngineBackend(..., columnar=False)``).
+
+    The engine calls one copy of the spec from many tasks and rounds:
+    serial and thread runs share the driver's object, and a process
+    worker reuses the copy it unpickled for every later run whose
+    pickled job function is byte-identical (see
+    :class:`~repro.engine.shm.ShmPickleRef`).  So any cache a spec fills
+    lazily must depend only on its pickled state.
     """
 
     #: Set True when the spec implements the columnar hooks below.

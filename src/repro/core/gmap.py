@@ -46,6 +46,11 @@ class GmapFunction:
     otherwise — and emits the spec's boundary/output pairs for the global
     reduce — as one typed batch (``ctx.emit_block``) when the columnar
     fast path is on, or pair-at-a-time otherwise.
+
+    A new instance is built every round, but a process worker may reuse
+    its unpickled copy across runs whose pickles are identical — as
+    serial and thread runs already share one spec object — so a lazily
+    filled cache on the spec must depend only on its pickled state.
     """
 
     def __init__(self, spec: AsyncMapReduceSpec, max_local_iters: int, *,

@@ -147,9 +147,10 @@ class MapReduceRuntime:
         (default).  ``False`` re-creates the pool for every batch — the
         pre-streaming behaviour, kept for churn benchmarks.
     shm_transport:
-        Ship large columnar payloads through named shared-memory
-        segments instead of pickling them through the result pipe (see
-        :mod:`repro.engine.shm`).  Defaults to on for the
+        Ship fat job functions and large columnar payloads through
+        named shared-memory segments instead of pickling them through
+        the task and result pipes (see :mod:`repro.engine.shm`).
+        Defaults to on for the
         ``"processes"`` executor and off otherwise (serial and thread
         workers share the driver's address space already).
     shm_min_bytes:
@@ -350,14 +351,17 @@ class MapReduceRuntime:
                                sort_keys=conf.sort_keys,
                                merge_scratch=self._merge_scratch,
                                defer_merge=bool(deaths))
-        # Shared-memory transport: large columnar payloads ride named
-        # segments; only refs (names + metadata) cross the result pipe.
-        shm = self.shm_transport and conf.columnar
-        shm_threshold = self.shm_min_bytes if shm else None
+        # Shared-memory transport: fat job functions and, on the
+        # columnar path, large array payloads ride named segments; only
+        # refs (names + metadata) cross the task and result pipes.
+        shm = self.shm_transport
+        shm_threshold = (self.shm_min_bytes if shm and conf.columnar
+                         else None)
         shm_prefix = self.segments.new_prefix() if shm else None
-        # Ship fat job functions once per run, not once per task: the
-        # pool re-pickles every submission's args, and a map callable
-        # closing over per-partition arrays multiplies that by rounds.
+        # Park fat job functions once per run instead of pickling them
+        # into every task submission; workers key their copy by the
+        # pickle's digest, so a function whose bytes did not change
+        # since an earlier run (the next round's spec) is not reloaded.
         map_fn, reduce_fn = job.map_fn, job.reduce_fn
         if shm:
             map_fn = export_pickled(job.map_fn, f"{shm_prefix}f",
@@ -385,7 +389,7 @@ class MapReduceRuntime:
                        "killed_in_flight": 0, "lost_ops": 0}
 
         def consume_map(i: int, res: TaskResult) -> None:
-            if shm:
+            if shm_threshold is not None:
                 # take() copies the bucket out of its segment and
                 # unlinks it — each map output is consumed exactly once.
                 res.data = [b.take() if isinstance(b, ShmBlockRef) else b

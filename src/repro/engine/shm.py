@@ -27,6 +27,12 @@ Ownership is driver-side and explicit:
   any task *might* have created — nothing leaks even when a crash
   leaves completed-but-unconsumed results behind.
 
+Fat job functions (:class:`ShmPickleRef`) are parked once per run but
+loaded once per worker per *content*: each ref carries a digest of its
+pickle, and a worker that already unpickled equal bytes — in an earlier
+round of the same iterative job, say — reuses that object without
+attaching the new segment.
+
 Everything here is fork- and spawn-safe: refs carry only names and
 metadata, and attaching is by name.  Blocks below
 :data:`SHM_MIN_BYTES` stay on the pickle path — for tiny payloads the
@@ -35,6 +41,7 @@ segment round trip (two syscalls + mmap) costs more than it saves.
 
 from __future__ import annotations
 
+import hashlib
 import mmap
 import os
 import pickle
@@ -226,10 +233,11 @@ class ShmGroupsRef(_ShmRef):
 
 
 #: Worker-side cache of loaded :class:`ShmPickleRef` payloads, keyed by
-#: segment name (unique per job run).  Bounded: oldest entry evicted
-#: past the cap, so long-lived pooled workers never accumulate stale
-#: job functions.
-_PICKLE_CACHE: "dict[str, Any]" = {}
+#: the digest of their pickle.  Bounded and least-recently-used: a hit
+#: moves its entry to the end, and the front entry is evicted past the
+#: cap, so long-lived pooled workers keep the job functions they still
+#: run and drop stale ones.
+_PICKLE_CACHE: "dict[bytes, Any]" = {}
 _PICKLE_CACHE_CAP = 8
 
 
@@ -240,22 +248,38 @@ class ShmPickleRef(_ShmRef):
     into every task submission — for a map callable closing over
     per-partition arrays that is megabytes of identical bytes per
     round.  The driver parks one pickle in a segment instead; tasks
-    carry this tiny ref, and each worker attaches, loads and caches the
-    object the first time it sees the name (task replays hit the
-    cache).  The segment is driver-owned: it must outlive every retry,
-    so only the runtime's registry unlinks it.
+    carry this tiny ref.  A worker loads the object once per content:
+    the cache is keyed by ``digest`` (SHA-256 of the pickle), so task
+    replays *and* later runs shipping equal bytes — every round of an
+    iterative job whose spec did not change — reuse the worker's copy
+    without attaching.  Different bytes (a spec mutated between runs)
+    miss and load afresh.  The segment is driver-owned: it must
+    outlive every retry, so only the runtime's registry unlinks it.
     """
 
-    __slots__ = ()
+    __slots__ = ("digest",)
+
+    def __init__(self, name: str, specs: "list[tuple]", nbytes: int,
+                 digest: bytes) -> None:
+        super().__init__(name, specs, nbytes)
+        self.digest = digest
 
     def load(self) -> Any:
-        obj = _PICKLE_CACHE.get(self.name, _PICKLE_CACHE)
+        # pop + re-insert moves a hit to the most-recently-used end.
+        obj = _PICKLE_CACHE.pop(self.digest, _PICKLE_CACHE)
         if obj is _PICKLE_CACHE:  # sentinel: not cached yet
-            [buf] = self._arrays(unlink=False)
-            obj = pickle.loads(buf.tobytes())
-            while len(_PICKLE_CACHE) >= _PICKLE_CACHE_CAP:
-                _PICKLE_CACHE.pop(next(iter(_PICKLE_CACHE)))
-            _PICKLE_CACHE[self.name] = obj
+            shm = _UntrackedSegment(self.name)
+            try:
+                # Straight from the mapping: bytes past the pickle's
+                # STOP opcode (alignment padding) are ignored.
+                obj = pickle.loads(shm.buf)
+            finally:
+                shm.close()
+            # Evict from a key snapshot: thread workers share this dict.
+            keys = list(_PICKLE_CACHE)
+            for stale in keys[:max(0, len(keys) + 1 - _PICKLE_CACHE_CAP)]:
+                _PICKLE_CACHE.pop(stale, None)
+        _PICKLE_CACHE[self.digest] = obj
         return obj
 
 
@@ -265,13 +289,17 @@ def export_pickled(obj: Any, name: str,
 
     Small objects (named aggregations, thin callables) come back
     unchanged — per-task pickling of a few hundred bytes is cheaper
-    than a segment round trip.
+    than a segment round trip.  A parked object is written once per
+    call (per run) under ``name`` but loaded once per worker per
+    content: the ref carries the pickle's SHA-256, which keys the
+    workers' cache.
     """
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     if len(data) < min_bytes:
         return obj
     specs = _write_segment(name, [np.frombuffer(data, dtype=np.uint8)])
-    return ShmPickleRef(name, specs, len(data))
+    return ShmPickleRef(name, specs, len(data),
+                        hashlib.sha256(data).digest())
 
 
 def export_block(block: ColumnarBlock, name: str,

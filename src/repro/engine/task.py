@@ -209,7 +209,7 @@ def run_map_task(
         _stall(fault_plan, "map", task_index, attempt)
         fault_plan.maybe_fail("map", task_index, attempt)
     if isinstance(map_fn, ShmPickleRef):
-        map_fn = map_fn.load()  # parked once per run, cached per worker
+        map_fn = map_fn.load()  # loaded once per worker per content
     ctx = TaskContext(task_id, attempt)
     for key, value in split:
         ctx.counters.incr(MAP_INPUT_RECORDS)
@@ -340,7 +340,7 @@ def run_reduce_task(
         _stall(fault_plan, "reduce", task_index, attempt)
         fault_plan.maybe_fail("reduce", task_index, attempt)
     if isinstance(reduce_fn, ShmPickleRef):
-        reduce_fn = reduce_fn.load()  # parked once per run, cached
+        reduce_fn = reduce_fn.load()  # loaded once per worker per content
     if isinstance(groups, ShmGroupsRef):
         groups = groups.take(unlink=False)
     if isinstance(groups, ColumnarGroups):

@@ -9,16 +9,19 @@ the shuffle volume, which the combiner strictly shrinks.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.apps.pagerank import PageRankKVSpec, pagerank_reference
 from repro.apps.sssp import SsspKVSpec, sssp_reference
 from repro.cluster import SimCluster
-from repro.core import DriverConfig, EngineBackend, IterationLoop
+from repro.core import DenseKVState, DriverConfig, EngineBackend, IterationLoop
 from repro.engine import MapReduceRuntime
 from repro.graph import (
     attach_random_weights,
+    make_paper_graph,
     multilevel_partition,
     preferential_attachment,
 )
@@ -134,3 +137,107 @@ class TestSsspColumnar:
         # frontier saturates and the "min" combiner has duplicates to
         # fold, it is.
         assert fast.history[-1].shuffle_bytes < oracle.history[-1].shuffle_bytes
+
+
+def _per_node_cut_edges(spec, part_id: int, *, weighted: bool = False):
+    """Reference build of a partition's out-cut edges, node by node
+    from the spec's adjacency lists: ``(nodes, local source index,
+    remote target, weight or None)`` in table order.  ``weighted``
+    lists hold ``(target, weight)`` pairs (SSSP)."""
+    nodes = spec.partition.parts()[part_id].astype(np.int64)
+    adj = [spec._external_adj[u] for u in nodes.tolist()]
+    src = np.repeat(np.arange(len(nodes)), [len(a) for a in adj])
+    edges = [e for a in adj for e in a]
+    if not weighted:
+        return nodes, src, np.array(edges, dtype=np.int64), None
+    dst = np.array([v for v, _ in edges], dtype=np.int64)
+    w = np.array([w for _, w in edges], dtype=np.float64)
+    return nodes, src, dst, w
+
+
+def _reference_pagerank_rows(spec, table, part_id):
+    nodes, src, dst, _ = _per_node_cut_edges(spec, part_id)
+    ranks = np.array([table[u][0] for u in nodes.tolist()], dtype=np.float64)
+    keys = np.concatenate([nodes, dst])
+    rows = np.zeros((len(keys), 2), dtype=np.float64)
+    rows[:len(nodes), 0] = ranks
+    rows[len(nodes):, 1] = ranks[src] * spec._inv_outdeg[nodes][src]
+    return keys, rows
+
+
+def _reference_sssp_rows(spec, table, part_id):
+    nodes, src, dst, w = _per_node_cut_edges(spec, part_id, weighted=True)
+    dists = np.array([table[u][0] for u in nodes.tolist()], dtype=np.float64)
+    live = np.isfinite(dists[src])
+    keys = np.concatenate([nodes, dst[live]])
+    rows = np.full((len(keys), 2), np.inf, dtype=np.float64)
+    rows[:len(nodes), 0] = dists
+    rows[len(nodes):, 1] = dists[src[live]] + w[live]
+    return keys, rows
+
+
+def _assert_bitwise(got, want):
+    (gk, gr), (wk, wr) = got, want
+    assert gk.dtype == wk.dtype and np.array_equal(gk, wk)
+    assert gr.dtype == wr.dtype and gr.shape == wr.shape
+    assert gr.tobytes() == wr.tobytes()
+
+
+@pytest.fixture(scope="module")
+def graph_a():
+    g = make_paper_graph("A", scale=0.005, seed=0)
+    return g, multilevel_partition(g, 8, seed=0)
+
+
+class TestEmissionArrays:
+    """The specs' vectorised cut-edge arrays against the per-node build,
+    and the columnar emission bitwise against the per-node emission."""
+
+    def test_pagerank_every_partition(self, graph_a):
+        g, part = graph_a
+        spec = PageRankKVSpec(g, part, dense_state=True)
+        rng = np.random.default_rng(3)
+        state = DenseKVState(rng.uniform(0.1, 3.0, (g.num_nodes, 2)))
+        for p in range(part.k):
+            nodes, src, dst, _ = _per_node_cut_edges(spec, p)
+            csr = spec._csr[p]
+            assert np.array_equal(csr.nodes, nodes)
+            assert np.array_equal(csr.cut_src, src)
+            assert np.array_equal(csr.cut_dst, dst)
+            assert len(dst) > 0
+            table = dict(spec.partition_input(p, state))
+            _assert_bitwise(spec.gmap_emit_columnar(table, p),
+                            _reference_pagerank_rows(spec, table, p))
+
+    def test_sssp_every_partition(self, graph_a):
+        g, _ = graph_a
+        wg = attach_random_weights(g, low=1.0, high=10.0, seed=11)
+        part = multilevel_partition(wg, 8, seed=0)
+        spec = SsspKVSpec(wg, part, dense_state=True)
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.0, 50.0, (g.num_nodes, 2))
+        rows[rng.random(g.num_nodes) < 0.4, 0] = np.inf
+        state = DenseKVState(rows)
+        for p in range(part.k):
+            nodes, src, dst, w = _per_node_cut_edges(spec, p, weighted=True)
+            edges = spec._edges[p]
+            assert np.array_equal(edges.nodes, nodes)
+            assert np.array_equal(edges.cut_src, src)
+            assert np.array_equal(edges.cut_dst, dst)
+            assert edges.cut_w.tobytes() == w.tobytes()
+            assert len(dst) > 0
+            table = dict(spec.partition_input(p, state))
+            _assert_bitwise(spec.gmap_emit_columnar(table, p),
+                            _reference_sssp_rows(spec, table, p))
+
+    def test_pickle_unchanged_by_running(self, graph_a):
+        """No lazily filled state: a process worker's cached copy, keyed
+        by pickle content, stays valid round after round."""
+        g, part = graph_a
+        wg = attach_random_weights(g, low=1.0, high=10.0, seed=11)
+        for spec in (PageRankKVSpec(g, part, dense_state=True),
+                     SsspKVSpec(wg, part, dense_state=True)):
+            before = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+            _run(spec, columnar=True, mode="general", max_global_iters=3)
+            assert pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL) \
+                == before

@@ -36,7 +36,11 @@ from repro.engine.counters import (
     NODE_DEATHS,
     SPECULATIVE_BACKUPS,
 )
+from repro.apps.pagerank import PageRankKVSpec
+from repro.core import DriverConfig, EngineBackend, IterationLoop
+from repro.engine import shm as shm_mod
 from repro.engine.shm import _read_segment, _unlink_quietly, export_pickled
+from repro.graph import make_paper_graph, multilevel_partition
 
 VOCAB = [f"word{i:03d}" for i in range(40)]
 
@@ -291,6 +295,189 @@ class TestPickleRef:
             assert ref.load() is first
         finally:
             assert _unlink_quietly("reproshm-test-fat")
+
+
+class TestContentKeyedCache:
+    """Workers cache a parked function by its pickle's digest."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(shm_mod, "_PICKLE_CACHE", {})
+
+    @staticmethod
+    def _park(obj, name):
+        ref = export_pickled(obj, name, min_bytes=1024)
+        assert isinstance(ref, ShmPickleRef)
+        return ref
+
+    def test_equal_content_gives_equal_key(self):
+        a = self._park({"arr": np.arange(20_000)}, "reproshm-test-ka")
+        try:
+            b = self._park({"arr": np.arange(20_000)}, "reproshm-test-kb")
+            _unlink_quietly(b.name)
+        finally:
+            _unlink_quietly(a.name)
+        assert a.name != b.name
+        assert a.digest == b.digest
+
+    def test_different_content_gives_different_key(self):
+        a = self._park(np.arange(20_000), "reproshm-test-da")
+        try:
+            b = self._park(np.arange(1, 20_001), "reproshm-test-db")
+            _unlink_quietly(b.name)
+        finally:
+            _unlink_quietly(a.name)
+        assert a.digest != b.digest
+
+    def test_equal_content_loads_once(self, monkeypatch):
+        first_ref = self._park(np.arange(20_000), "reproshm-test-l1")
+        try:
+            first = first_ref.load()
+        finally:
+            _unlink_quietly(first_ref.name)
+        second_ref = self._park(np.arange(20_000), "reproshm-test-l2")
+        _unlink_quietly(second_ref.name)
+
+        def no_attach(name):
+            raise AssertionError(f"attached {name} on a cache hit")
+
+        monkeypatch.setattr(shm_mod, "_UntrackedSegment", no_attach)
+        # Both segments are gone: only the content key can serve these.
+        assert second_ref.load() is first
+        assert first_ref.load() is first
+
+    def test_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(shm_mod, "_PICKLE_CACHE_CAP", 3)
+        refs = {}
+        for tag in "abcd":
+            obj = {"tag": tag, "pad": np.arange(20_000)}
+            refs[tag] = self._park(obj, f"reproshm-test-lru{tag}")
+        try:
+            for tag in "abc":
+                refs[tag].load()
+            refs["a"].load()  # hit: "a" becomes the most recently used
+            refs["d"].load()  # full: evicts "b", the least recently used
+        finally:
+            for ref in refs.values():
+                _unlink_quietly(ref.name)
+        assert list(shm_mod._PICKLE_CACHE) == [
+            refs[t].digest for t in "cad"]
+
+    def test_thread_workers_share_the_cache(self, monkeypatch):
+        """Hits, misses and evictions racing on one dict stay correct."""
+        monkeypatch.setattr(shm_mod, "_PICKLE_CACHE_CAP", 2)
+        splits = [[(i, 0)] for i in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MapReduceRuntime("threads", workers=4, shm_transport=True,
+                                  shm_min_bytes=1024) as rt:
+                for scale in range(1, 7):
+                    fat = _FatWeights()
+                    fat.weights *= scale
+                    out = rt.run(Job(fat, "sum", conf=JobConf(num_reducers=3)),
+                                 splits).output
+                    assert dict(out) == {
+                        r: float(sum(range(r, 32, 3)) * scale)
+                        for r in range(3)}
+                assert rt.segments.live_count == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(shm_mod._PICKLE_CACHE) <= 2
+
+
+class _FatWeights:
+    """A map function closing over a fat array."""
+
+    def __init__(self):
+        self.weights = np.arange(40_000, dtype=np.float64)
+
+    def __call__(self, key, value, ctx):
+        ctx.emit(key % 3, float(self.weights[key]))
+
+
+class _LoadLoggingPageRank(PageRankKVSpec):
+    """kv PageRank appending the loading process's pid to ``log``."""
+
+    def __init__(self, *args, log, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = str(log)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+
+class TestParkedFunctionsOnProcesses:
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_driver_mutation_between_runs_is_not_stale(self, columnar):
+        fat = _FatWeights()
+        splits = [[(i, 0)] for i in range(16)]
+        conf = JobConf(num_reducers=3, columnar=columnar)
+        with MapReduceRuntime("processes", workers=2,
+                              shm_min_bytes=1024) as rt:
+            first = rt.run(Job(fat, "sum", conf=conf), splits).output
+            fat.weights[:16] *= 10  # in place: same object, new bytes
+            second = rt.run(Job(fat, "sum", conf=conf), splits).output
+        want = MapReduceRuntime("serial").run(
+            Job(fat, "sum", conf=conf), splits).output
+        assert second == want
+        assert second != first
+
+    def test_object_path_parks_fat_functions(self, monkeypatch):
+        import repro.engine.runtime as runtime_mod
+
+        parked = []
+
+        def spy(obj, name, min_bytes):
+            ref = export_pickled(obj, name, min_bytes)
+            parked.append(ref)
+            return ref
+
+        monkeypatch.setattr(runtime_mod, "export_pickled", spy)
+        before = _live_segments()
+        with MapReduceRuntime("processes", workers=2,
+                              shm_min_bytes=1024) as rt:
+            res = rt.run(Job(_FatWeights(), "sum",
+                             conf=JobConf(num_reducers=3, columnar=False)),
+                         [[(i, 0)] for i in range(16)])
+            assert rt.segments.live_count == 0
+        assert isinstance(parked[0], ShmPickleRef)
+        assert parked[0].name.endswith("f")
+        assert sorted(res.output) == [(0, 45.0), (1, 35.0), (2, 40.0)]
+        assert _live_segments() <= before
+
+    def test_object_path_abort_sweeps_parked_function(self):
+        before = _live_segments()
+        plan = FaultPlan.script({("map", 2): 99})  # exceeds max_attempts
+        with MapReduceRuntime("processes", workers=2, fault_plan=plan,
+                              shm_min_bytes=1024) as rt:
+            with pytest.raises(JobFailedError):
+                rt.run(Job(_FatWeights(), "sum",
+                           conf=JobConf(num_reducers=3, max_attempts=2,
+                                        columnar=False)),
+                       [[(i, 0)] for i in range(16)])
+            assert rt.segments.live_count == 0
+        assert _live_segments() <= before
+
+    def test_iterative_spec_loads_once_per_worker(self, tmp_path):
+        g = make_paper_graph("A", scale=0.005, seed=0)
+        part = multilevel_partition(g, 8, seed=0)
+        log = tmp_path / "loads.log"
+        spec = _LoadLoggingPageRank(g, part, dense_state=True, log=log)
+        with MapReduceRuntime("processes", workers=2) as rt:
+            res = IterationLoop(EngineBackend(spec, runtime=rt),
+                                DriverConfig(mode="general")).run()
+        serial = IterationLoop(EngineBackend(spec),
+                               DriverConfig(mode="general")).run()
+        assert res.global_iters >= 5
+        loads = log.read_text().split()
+        # Every round ships an equal pickle: each worker unpickles it
+        # once, not once per round.
+        assert 1 <= len(loads) <= 2
+        assert len(set(loads)) == len(loads)
+        assert np.array_equal(res.state.rows, serial.state.rows)
 
 
 #: Starts a resource tracker whose stderr goes to ``argv[1]``, runs
