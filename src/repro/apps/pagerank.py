@@ -45,8 +45,10 @@ from repro.core import (
     IterativeResult,
     LocalRunResult,
     LocalSolveReport,
+    RowBlock,
     resolve_block_backend,
 )
+from repro.core.state import input_rows
 from repro.engine import MapReduceRuntime
 from repro.graph import DiGraph, Partition
 
@@ -227,11 +229,16 @@ class PageRankBlockSpec(BlockSpec):
 class PageRankKVSpec(AsyncMapReduceSpec):
     """PageRank through lmap/lreduce/greduce on the real engine.
 
-    Hashtable layout per partition: ``node -> (rank, ext_contrib,
-    internal_adj, external_adj, inv_outdeg)`` where ``ext_contrib`` is
-    the frozen sum of remote contributions from the previous global
-    round and the adjacency splits are precomputed once from the
-    partition (the off-line locality-enhancing step).
+    Hashtable layout per partition: ``node -> (rank, ext_contrib)``,
+    the node's global state row, where ``ext_contrib`` is the frozen sum
+    of remote contributions from the previous global round.  The static
+    structure — the adjacency split at partition boundaries, precomputed
+    once (the off-line locality-enhancing step), and the inverse
+    out-degrees — stays on the spec (``_internal_adj``,
+    ``_external_adj``, ``_inv_outdeg``), and ``lmap``, ``lreduce`` and
+    ``gmap_emit`` read it by key.  With dense state the gmap input is a
+    :class:`~repro.core.RowBlock` of the partition's rows, so a round
+    ships two arrays per partition instead of per-node tuples.
 
     Global state: ``ranks`` dict ``node -> (rank, ext_contrib)`` — or,
     with ``dense_state=True``, a :class:`~repro.core.DenseKVState`
@@ -304,25 +311,21 @@ class PageRankKVSpec(AsyncMapReduceSpec):
     def num_partitions(self) -> int:
         return self.partition.k
 
-    def partition_input(self, part_id: int, state: dict) -> list:
+    def partition_input(self, part_id: int, state) -> "RowBlock | list":
         nodes = self.partition.parts()[part_id]
-        node_list = nodes.tolist()
-        # Dense state: one gather instead of a per-node row lookup (the
-        # same doubles, as Python floats).
-        rows = (state.rows[nodes].tolist() if isinstance(state, DenseKVState)
-                else [state[u] for u in node_list])
-        inv_out = self._inv_outdeg[nodes].tolist()
-        internal, external = self._internal_adj, self._external_adj
-        return [(u, (rank, ext, internal[u], external[u], io))
-                for u, (rank, ext), io in zip(node_list, rows, inv_out)]
+        if isinstance(state, DenseKVState):
+            # A gathered copy: the split never aliases the driver's state.
+            return RowBlock(nodes, state.rows[nodes])
+        return [(u, state[u]) for u in nodes.tolist()]
 
     # -- the four user functions ------------------------------------------
     def lmap(self, key, value, ctx) -> None:
-        rank, ext, internal, external, inv_out = value
+        rank = value[0]
+        inv_out = float(self._inv_outdeg[key])
         # Push rank to internal neighbours; carry the record to the
         # reducer so it can rebuild the node entry.
         ctx.emit_local_intermediate(key, ("rec", value))
-        for v in internal:
+        for v in self._internal_adj[key]:
             ctx.emit_local_intermediate(v, ("c", rank * inv_out))
 
     def lreduce(self, key, values, ctx) -> None:
@@ -335,9 +338,9 @@ class PageRankKVSpec(AsyncMapReduceSpec):
                 contrib += payload
         if rec is None:
             return  # contribution to a node outside this partition's table
-        _, ext, internal, external, inv_out = rec
+        ext = rec[1]
         new_rank = (1.0 - self.damping) + self.damping * (contrib + ext)
-        ctx.emit_local(key, (new_rank, ext, internal, external, inv_out))
+        ctx.emit_local(key, (new_rank, ext))
 
     def greduce(self, key, values, ctx) -> None:
         rank = 0.0
@@ -354,20 +357,22 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         """:func:`~repro.core.localmr.run_local_mapreduce` over ``xs`` as
         NumPy sweeps of the partition's internal edges.
 
-        ``xs`` is trusted to carry this spec's adjacency and out-degrees
-        (as :meth:`partition_input` builds it); keys other than the
+        ``xs`` holds ``(rank, ext_contrib)`` rows — a
+        :class:`~repro.core.RowBlock` or a list of pairs, as
+        :meth:`partition_input` builds it; keys other than the
         partition's nodes in table order are declined.  Contributions
         accumulate with ``np.bincount`` in CSR edge order — lmap's
         emission order — and ranks use lreduce's association, so every
-        rank is bit-identical to the record loop's.
+        rank is bit-identical to the record loop's.  The table comes
+        back as a ``RowBlock``.
         """
         csr = self._csr[part_id]
         nodes, src, dst = csr.nodes, csr.int_src, csr.int_dst
         n = len(nodes)
-        if len(xs) != n or [k for k, _ in xs] != nodes.tolist():
+        rows = input_rows(xs, nodes, 2)
+        if rows is None:
             return None
-        x = np.fromiter((v[0] for _, v in xs), dtype=np.float64, count=n)
-        ext = np.fromiter((v[1] for _, v in xs), dtype=np.float64, count=n)
+        x, ext = rows[:, 0], rows[:, 1]
         inv_src = self._inv_outdeg[nodes][src]
         d = self.damping
         # One table scan + a "rec" and an EmitLocal per node, plus one
@@ -385,18 +390,17 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             if delta < self.tol:
                 converged = True
                 break
-        table = {u: (rank, e, internal, external, io)
-                 for (u, (_, e, internal, external, io)), rank
-                 in zip(xs, x.tolist())}
-        return LocalRunResult(table=table, local_iters=len(per_iter_ops),
+        return LocalRunResult(table=RowBlock(nodes, np.column_stack([x, ext])),
+                              local_iters=len(per_iter_ops),
                               per_iter_ops=per_iter_ops, converged=converged)
 
     # -- convergence & emission --------------------------------------------
-    def gmap_emit(self, table: dict, part_id: int) -> list:
+    def gmap_emit(self, table, part_id: int) -> list:
         out = []
-        for u, (rank, ext, internal, external, inv_out) in table.items():
+        for u, (rank, _) in table.items():
             out.append((u, ("rank", rank)))
-            for v in external:
+            inv_out = float(self._inv_outdeg[u])
+            for v in self._external_adj[u]:
                 out.append((v, ("c", rank * inv_out)))
         return out
 
@@ -427,16 +431,20 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         return new_state
 
     # -- columnar fast path ------------------------------------------------
-    def gmap_emit_columnar(self, table: dict, part_id: int):
+    def gmap_emit_columnar(self, table, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owning
         rank record is ``(rank, 0)``, each cut-edge contribution
         ``(0, rank/outdeg)`` — so a per-key sum yields exactly
         ``(rank, ext_contrib)``.  The cut edges come in CSR order, which
-        is :meth:`gmap_emit`'s."""
+        is :meth:`gmap_emit`'s.  A :class:`~repro.core.RowBlock` table
+        in node order gives its rank column directly."""
         csr = self._csr[part_id]
         nodes, cut_src = csr.nodes, csr.cut_src
-        ranks = np.fromiter((table[u][0] for u in nodes.tolist()),
-                            dtype=np.float64, count=len(nodes))
+        if isinstance(table, RowBlock) and np.array_equal(table.ids, nodes):
+            ranks = table.rows[:, 0]
+        else:
+            ranks = np.fromiter((table[u][0] for u in nodes.tolist()),
+                                dtype=np.float64, count=len(nodes))
         contrib = ranks[cut_src] * self._inv_outdeg[nodes][cut_src]
         keys = np.concatenate([nodes, csr.cut_dst])
         rows = np.zeros((len(keys), 2), dtype=np.float64)

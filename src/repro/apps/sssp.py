@@ -36,8 +36,10 @@ from repro.core import (
     IterativeResult,
     LocalRunResult,
     LocalSolveReport,
+    RowBlock,
     resolve_block_backend,
 )
+from repro.core.state import input_rows
 from repro.engine import MapReduceRuntime
 from repro.graph import DiGraph, Partition
 
@@ -221,11 +223,15 @@ def _sssp_columnar_finish(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class SsspKVSpec(AsyncMapReduceSpec):
     """SSSP through lmap/lreduce/greduce on the real engine.
 
-    Hashtable layout: ``node -> (dist, ext_best, internal_adj,
-    external_adj)`` with weighted adjacency lists split at partition
-    boundaries; ``ext_best`` is the best known distance via cross edges,
-    frozen during local iterations.  Global state: ``node -> (dist,
-    ext_best)``.
+    Hashtable layout: ``node -> (dist, ext_best)``, the node's global
+    state row; ``ext_best`` is the best known distance via cross edges,
+    frozen during local iterations.  The weighted adjacency lists, split
+    at partition boundaries once, stay on the spec (``_internal_adj``,
+    ``_external_adj``), and ``lmap`` and ``gmap_emit`` read them by key.
+    Global state: ``node -> (dist, ext_best)``.  With dense state the
+    gmap input is a :class:`~repro.core.RowBlock` of the partition's
+    rows, so a round ships two arrays per partition instead of per-node
+    tuples.
 
     The gmap's local loop runs as array relaxations over the
     partition's internal edges (:meth:`local_mapreduce_block`),
@@ -290,22 +296,18 @@ class SsspKVSpec(AsyncMapReduceSpec):
     def num_partitions(self) -> int:
         return self.partition.k
 
-    def partition_input(self, part_id: int, state: dict) -> list:
+    def partition_input(self, part_id: int, state) -> "RowBlock | list":
         nodes = self.partition.parts()[part_id]
-        node_list = nodes.tolist()
-        # Dense state: one gather instead of a per-node row lookup (the
-        # same doubles, as Python floats).
-        rows = (state.rows[nodes].tolist() if isinstance(state, DenseKVState)
-                else [state[u] for u in node_list])
-        internal, external = self._internal_adj, self._external_adj
-        return [(u, (dist, ext, internal[u], external[u]))
-                for u, (dist, ext) in zip(node_list, rows)]
+        if isinstance(state, DenseKVState):
+            # A gathered copy: the split never aliases the driver's state.
+            return RowBlock(nodes, state.rows[nodes])
+        return [(u, state[u]) for u in nodes.tolist()]
 
     def lmap(self, key, value, ctx) -> None:
-        dist, ext, internal, external = value
+        dist = value[0]
         ctx.emit_local_intermediate(key, ("rec", value))
         if np.isfinite(dist):
-            for v, w in internal:
+            for v, w in self._internal_adj[key]:
                 ctx.emit_local_intermediate(v, ("d", dist + w))
 
     def lreduce(self, key, values, ctx) -> None:
@@ -318,9 +320,9 @@ class SsspKVSpec(AsyncMapReduceSpec):
                 best = min(best, payload)
         if rec is None:
             return
-        dist, ext, internal, external = rec
+        dist, ext = rec
         new_dist = min(dist, best, ext)
-        ctx.emit_local(key, (new_dist, ext, internal, external))
+        ctx.emit_local(key, (new_dist, ext))
 
     def greduce(self, key, values, ctx) -> None:
         dist = float("inf")
@@ -336,20 +338,22 @@ class SsspKVSpec(AsyncMapReduceSpec):
         """:func:`~repro.core.localmr.run_local_mapreduce` over ``xs`` as
         NumPy relaxations of the partition's internal edges.
 
-        ``xs`` is trusted to carry this spec's adjacency (as
-        :meth:`partition_input` builds it); keys other than the
+        ``xs`` holds ``(dist, ext_best)`` rows — a
+        :class:`~repro.core.RowBlock` or a list of pairs, as
+        :meth:`partition_input` builds it; keys other than the
         partition's nodes in table order are declined.  lreduce's
         running ``min`` is order-free — hence bit-identical as one
         ``np.minimum.at`` — except on NaN and -0.0, so inputs holding
-        either are declined too.
+        either are declined too.  The table comes back as a
+        ``RowBlock``.
         """
         pe = self._edges[part_id]
         nodes, src, dst, w = pe.nodes, pe.int_src, pe.int_dst, pe.int_w
         n = len(nodes)
-        if len(xs) != n or [k for k, _ in xs] != nodes.tolist():
+        rows = input_rows(xs, nodes, 2)
+        if rows is None:
             return None
-        dist = np.fromiter((v[0] for _, v in xs), dtype=np.float64, count=n)
-        ext = np.fromiter((v[1] for _, v in xs), dtype=np.float64, count=n)
+        dist, ext = rows[:, 0], rows[:, 1]
         if not (_min_exact(dist) and _min_exact(ext) and _min_exact(w)):
             return None
         per_iter_ops: list = []
@@ -369,18 +373,16 @@ class SsspKVSpec(AsyncMapReduceSpec):
             if not moved.any():
                 converged = True
                 break
-        table = {u: (d, e, internal, external)
-                 for (u, (_, e, internal, external)), d
-                 in zip(xs, dist.tolist())}
-        return LocalRunResult(table=table, local_iters=len(per_iter_ops),
+        return LocalRunResult(table=RowBlock(nodes, np.column_stack([dist, ext])),
+                              local_iters=len(per_iter_ops),
                               per_iter_ops=per_iter_ops, converged=converged)
 
-    def gmap_emit(self, table: dict, part_id: int) -> list:
+    def gmap_emit(self, table, part_id: int) -> list:
         out = []
-        for u, (dist, ext, internal, external) in table.items():
+        for u, (dist, _) in table.items():
             out.append((u, ("dist", dist)))
             if np.isfinite(dist):
-                for v, w in external:
+                for v, w in self._external_adj[u]:
                     out.append((v, ("d", dist + w)))
         return out
 
@@ -417,14 +419,19 @@ class SsspKVSpec(AsyncMapReduceSpec):
         return new_state
 
     # -- columnar fast path ------------------------------------------------
-    def gmap_emit_columnar(self, table: dict, part_id: int):
+    def gmap_emit_columnar(self, table, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owner's
         distance record is ``(dist, inf)``, each finite-source cross
-        edge a ``(inf, dist + w)`` relaxation candidate, in CSR order."""
+        edge a ``(inf, dist + w)`` relaxation candidate, in CSR order.
+        A :class:`~repro.core.RowBlock` table in node order gives its
+        distance column directly."""
         edges = self._edges[part_id]
         nodes, cut_src = edges.nodes, edges.cut_src
-        dists = np.fromiter((table[u][0] for u in nodes.tolist()),
-                            dtype=np.float64, count=len(nodes))
+        if isinstance(table, RowBlock) and np.array_equal(table.ids, nodes):
+            dists = table.rows[:, 0]
+        else:
+            dists = np.fromiter((table[u][0] for u in nodes.tolist()),
+                                dtype=np.float64, count=len(nodes))
         live = np.isfinite(dists[cut_src])
         cand = dists[cut_src[live]] + edges.cut_w[live]
         keys = np.concatenate([nodes, edges.cut_dst[live]])

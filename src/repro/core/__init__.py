@@ -59,7 +59,6 @@ from repro.core.hierarchy import (
     make_racks,
     run_iterative_hierarchical,
 )
-from repro.core.state import DenseKVState
 from repro.core.jobsched import (
     FairSharePolicy,
     FifoPolicy,
@@ -83,6 +82,7 @@ from repro.core.loop import (
     RoundRecord,
 )
 from repro.core.session import JobSpec, Session
+from repro.core.state import DenseKVState, RowBlock
 
 __all__ = [
     "Session",
@@ -98,6 +98,7 @@ __all__ = [
     "AsyncMapReduceSpec",
     "BlockSpec",
     "DenseKVState",
+    "RowBlock",
     "LocalSolveReport",
     "DriverConfig",
     "GENERAL",

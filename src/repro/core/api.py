@@ -29,6 +29,7 @@ global synchronization) and the convergence protocol from
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Sequence, TYPE_CHECKING
 
@@ -142,11 +143,16 @@ class AsyncMapReduceSpec(abc.ABC):
         """Number of partitions (= global map tasks per iteration)."""
 
     @abc.abstractmethod
-    def partition_input(self, part_id: int, state: Any) -> list:
-        """Build the gmap input ``xs`` (key-value list) for a partition.
+    def partition_input(self, part_id: int, state: Any) -> "list | Mapping":
+        """Build the gmap input ``xs`` for a partition.
 
         This is the "functions to convert data into the formats required
-        by the local map and local reduce functions" of §IV.
+        by the local map and local reduce functions" of §IV.  ``xs`` is a
+        key-value list or a :class:`~collections.abc.Mapping` the record
+        loop reads through ``.items()`` — e.g. a
+        :class:`~repro.core.state.RowBlock` of the partition's state
+        rows, which ships as two arrays.  It must not alias ``state``:
+        the engine may run the task after the driver moved on.
         """
 
     @abc.abstractmethod
@@ -189,7 +195,7 @@ class AsyncMapReduceSpec(abc.ABC):
         """
 
     # -- block-at-a-time local loop (opt-in) ---------------------------
-    def local_mapreduce_block(self, part_id: Any, xs: list, *,
+    def local_mapreduce_block(self, part_id: Any, xs: "list | Mapping", *,
                               max_local_iters: int
                               ) -> "LocalRunResult | None":
         """Figure 1's local loop over a whole partition at once.
@@ -198,8 +204,10 @@ class AsyncMapReduceSpec(abc.ABC):
         can sweep its partition with array operations returns the
         :class:`~repro.core.localmr.LocalRunResult` that
         :func:`~repro.core.localmr.run_local_mapreduce` would return for
-        the same ``xs`` — the same table (keys, key order and values),
-        ``local_iters``, ``per_iter_ops`` and ``converged``.  The op
+        the same ``xs`` (a list of pairs or a Mapping such as a
+        :class:`~repro.core.state.RowBlock`) — a table with the same keys,
+        key order and values (any Mapping), the same ``local_iters``,
+        ``per_iter_ops`` and ``converged``.  The op
         counts reach the simulated clock, so they must match exactly.
         Returning ``None`` declines (inputs the sweep cannot reproduce)
         and the gmap runs the record loop instead.  Default: decline.
@@ -207,7 +215,7 @@ class AsyncMapReduceSpec(abc.ABC):
         return None
 
     # -- columnar fast-path hooks (opt-in, see supports_columnar) -------
-    def gmap_emit_columnar(self, table: dict, part_id: int
+    def gmap_emit_columnar(self, table: Mapping, part_id: int
                            ) -> "tuple[Any, Any]":
         """Typed ``(keys, value_rows)`` arrays the gmap ships to the
         global reduce at local convergence — the vectorised counterpart

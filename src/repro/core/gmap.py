@@ -39,13 +39,16 @@ def local_iter_counter(part_id: Any) -> str:
 class GmapFunction:
     """Engine ``map_fn`` running Figure 1's local loop over a partition.
 
-    The engine hands it ``(part_id, xs)`` records; it runs the local
-    MapReduce to local convergence (or to 1 iteration for the general
-    baseline) — as the spec's array sweeps when its
-    ``local_mapreduce_block`` hook accepts ``xs``, record at a time
-    otherwise — and emits the spec's boundary/output pairs for the global
-    reduce — as one typed batch (``ctx.emit_block``) when the columnar
-    fast path is on, or pair-at-a-time otherwise.
+    The engine hands it ``(part_id, xs)`` records, ``xs`` being what the
+    spec's ``partition_input`` built: a list of pairs, or a Mapping such
+    as a :class:`~repro.core.state.RowBlock` of the partition's state
+    rows.  It runs the local MapReduce to local convergence (or to 1
+    iteration for the general baseline) — as the spec's array sweeps
+    when its ``local_mapreduce_block`` hook accepts ``xs``, record at a
+    time otherwise (a Mapping through ``xs.items()``) — and emits the
+    spec's boundary/output pairs for the global reduce — as one typed
+    batch (``ctx.emit_block``) when the columnar fast path is on, or
+    pair-at-a-time otherwise.
 
     A new instance is built every round, but a process worker may reuse
     its unpickled copy across runs whose pickles are identical — as
@@ -64,7 +67,7 @@ class GmapFunction:
         self.max_local_iters = max_local_iters
         self.columnar = columnar
 
-    def __call__(self, part_id: Any, xs: "list[tuple[Any, Any]]", ctx: Any) -> None:
+    def __call__(self, part_id: Any, xs: Any, ctx: Any) -> None:
         # getattr: duck-typed specs without the block hook use the
         # record loop.
         block = getattr(self.spec, "local_mapreduce_block", None)

@@ -14,7 +14,11 @@
 hashtable: every iteration applies ``lmap`` to each entry, groups the
 EmitLocalIntermediate pairs by key, applies ``lreduce`` per group, and
 folds the EmitLocal pairs back into the hashtable (entries not re-emitted
-persist, so static structure such as adjacency lists survives the loop).
+persist unchanged).  The table holds each node's iterated state only;
+static structure such as adjacency lists stays on the spec, which
+``lmap``/``lreduce`` read by key.  The input ``xs`` is a list of pairs
+or a :class:`~collections.abc.Mapping` (a dense spec's
+:class:`~repro.core.state.RowBlock`), read through ``.items()``.
 The local synchronization between lmap and lreduce is a plain in-memory
 barrier — "the local synchronization does not incur any inter-host
 communication delays" (§V-B.2).
@@ -22,14 +26,16 @@ communication delays" (§V-B.2).
 A spec may run the same loop as whole-partition array sweeps through
 :meth:`~repro.core.api.AsyncMapReduceSpec.local_mapreduce_block`; the
 gmap tries that hook first.  Its contract is this function's result:
-the same table, iteration count, per-iteration op counts and converged
-flag — the op counts feed the simulated clock through the engine's map
-task charges.  This record loop stays the oracle the hooks are pinned
-to, and the path for every input a hook declines.
+the same table (any Mapping with the same keys, key order and values),
+iteration count, per-iteration op counts and converged flag — the op
+counts feed the simulated clock through the engine's map task charges.
+This record loop stays the oracle the hooks are pinned to, and the path
+for every input a hook declines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,8 +49,9 @@ __all__ = ["LocalRunResult", "run_local_mapreduce"]
 class LocalRunResult:
     """Outcome of one gmap's local MapReduce loop."""
 
-    #: Final hashtable (local state at local convergence).
-    table: dict
+    #: Final hashtable (local state at local convergence): a dict from
+    #: the record loop, any Mapping of the same pairs from a block hook.
+    table: Mapping
     #: Number of local iterations executed.
     local_iters: int
     #: Operations per local iteration (hashtable scans + emissions).
@@ -60,7 +67,7 @@ class LocalRunResult:
 
 def run_local_mapreduce(
     spec: AsyncMapReduceSpec,
-    xs: "list[tuple[Any, Any]]",
+    xs: "list[tuple[Any, Any]] | Mapping",
     *,
     max_local_iters: int,
 ) -> LocalRunResult:
@@ -72,16 +79,16 @@ def run_local_mapreduce(
         The application spec providing ``lmap``/``lreduce`` and the local
         termination function.
     xs:
-        The gmap's key-value input list; duplicate keys are rejected
-        because the hashtable (dict) semantics of §V-A require unique
-        keys.
+        The gmap's key-value input: a list of pairs, whose duplicate
+        keys are rejected because the hashtable (dict) semantics of §V-A
+        require unique keys, or a Mapping, read in ``.items()`` order.
     max_local_iters:
         Iteration cap; 1 reproduces the general (baseline) behaviour.
     """
     if max_local_iters < 1:
         raise ValueError("max_local_iters must be >= 1")
     table: dict = {}
-    for k, v in xs:
+    for k, v in (xs.items() if isinstance(xs, Mapping) else xs):
         if k in table:
             raise ValueError(f"duplicate key in gmap input: {k!r}")
         table[k] = v
